@@ -1,25 +1,14 @@
-"""Array kernels for the hot per-instance loops (matching, peeling, propagation).
+"""Plain-Python kernels over lists for the hot loops (matching, peeling, propagation).
 
-Everything here operates on flat numpy arrays (CSR adjacency) so the functions
-can be JIT-compiled by numba.  The code is also valid plain Python: when numba
-is unavailable or disabled, the same functions run interpreted.
+Each kernel takes CSR adjacency as numpy arrays, converts its arguments once
+with `.tolist()`, runs on Python lists and ints, and hands back numpy arrays.
+Python ints and list indexing are several times cheaper to loop over than
+numpy scalars and array indexing.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
 
 # Node states shared with rsg.py (kept as plain ints inside kernels).
 UNFROZEN = 0
@@ -44,206 +33,150 @@ def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, dst.astype(np.int32)
 
 
-@njit(cache=True)
 def hopcroft_karp(indptr, indices, n_left, n_right):
     """Maximum bipartite matching on local ids (left 0..n_left-1).
 
     Deterministic: BFS layers and DFS both scan left vertices and their sorted
-    adjacency in increasing order.  Returns (match_left, match_right, size).
+    adjacency in increasing order.  Returns (match_left, match_right, size)
+    with int32 match arrays.
     """
-    INF = np.int32(2**31 - 1)
-    match_l = np.full(n_left, -1, np.int32)
-    match_r = np.full(n_right, -1, np.int32)
-    dist = np.empty(n_left, np.int32)
-    queue = np.empty(n_left, np.int32)
-    stack = np.empty(n_left + 1, np.int32)
-    via = np.empty(n_left + 1, np.int32)
-    ptr = np.empty(n_left, np.int64)
+    INF = 2**31 - 1
+    bounds = indptr[: n_left + 1].tolist()
+    flat = indices[: bounds[n_left]].tolist()
+    adj = [flat[bounds[u]:bounds[u + 1]] for u in range(n_left)]
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    dist = [INF] * n_left
+    ptr = [0] * n_left
     size = 0
     while True:
-        qh = 0
-        qt = 0
+        queue = []
         for u in range(n_left):
             if match_l[u] == -1:
                 dist[u] = 0
-                queue[qt] = u
-                qt += 1
+                queue.append(u)
             else:
                 dist[u] = INF
         free_found = False
-        while qh < qt:
-            u = queue[qh]
-            qh += 1
-            for i in range(indptr[u], indptr[u + 1]):
-                w = match_r[indices[i]]
+        for u in queue:  # grows while scanned: a FIFO queue
+            du1 = dist[u] + 1
+            for v in adj[u]:
+                w = match_r[v]
                 if w == -1:
                     free_found = True
                 elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue[qt] = w
-                    qt += 1
+                    dist[w] = du1
+                    queue.append(w)
         if not free_found:
             break
         for s in range(n_left):
             if match_l[s] != -1:
                 continue
-            top = 0
-            stack[0] = s
-            ptr[s] = indptr[s]
-            augmented = False
-            while top >= 0:
-                u = stack[top]
-                advanced = False
-                i = ptr[u]
-                while i < indptr[u + 1]:
-                    v = indices[i]
-                    i += 1
+            # stack[k] reaches stack[k + 1] through its right neighbour via[k]
+            stack = [s]
+            via = []
+            ptr[s] = 0
+            while stack:
+                u = stack[-1]
+                nbrs = adj[u]
+                du1 = dist[u] + 1
+                for i in range(ptr[u], len(nbrs)):
+                    v = nbrs[i]
                     w = match_r[v]
-                    if w == -1:
-                        ptr[u] = i
-                        match_l[u] = v
-                        match_r[v] = u
-                        for k in range(top - 1, -1, -1):
-                            uu = stack[k]
-                            vv = via[k]
-                            match_l[uu] = vv
-                            match_r[vv] = uu
-                        augmented = True
+                    if w == -1 or dist[w] == du1:
+                        ptr[u] = i + 1
                         break
-                    if dist[w] == dist[u] + 1:
-                        ptr[u] = i
-                        via[top] = v
-                        top += 1
-                        stack[top] = w
-                        ptr[w] = indptr[w]
-                        advanced = True
-                        break
-                if augmented:
-                    break
-                if not advanced:
+                else:  # dead end: drop u from this phase
                     dist[u] = INF
-                    top -= 1
-            if augmented:
-                size += 1
-    return match_l, match_r, size
+                    stack.pop()
+                    if via:
+                        via.pop()
+                    continue
+                if w == -1:  # free right node: flip the path
+                    match_l[u] = v
+                    match_r[v] = u
+                    for uu, vv in zip(stack, via):
+                        match_l[uu] = vv
+                        match_r[vv] = uu
+                    size += 1
+                    break
+                via.append(v)
+                stack.append(w)
+                ptr[w] = 0
+    return np.array(match_l, np.int32), np.array(match_r, np.int32), size
 
 
-@njit(cache=True)
-def has_augmenting_path(indptr, indices, n_left, n_right, match_l, match_r):
-    """BFS check used by tests: True iff an augmenting path exists."""
-    n = n_left
-    visited = np.zeros(n, np.bool_)
-    queue = np.empty(n, np.int32)
-    qh = 0
-    qt = 0
-    for u in range(n):
-        if match_l[u] == -1:
-            visited[u] = True
-            queue[qt] = u
-            qt += 1
-    while qh < qt:
-        u = queue[qh]
-        qh += 1
-        for i in range(indptr[u], indptr[u + 1]):
-            v = indices[i]
-            w = match_r[v]
-            if w == -1:
-                return True
-            if not visited[w]:
-                visited[w] = True
-                queue[qt] = w
-                qt += 1
-    return False
-
-
-@njit(cache=True)
 def leaf_removal_peel(indptr, indices, n):
     """Iteratively remove degree-1 nodes together with their support.
 
-    Returns (core_mask, pairs, n_pairs) where pairs[k] = (pendant, support) in
-    removal order.  Isolated nodes never enter the core (min core degree >= 2).
+    Returns (core_mask, pairs) where pairs[k] = (pendant, support) in removal
+    order, as a (k, 2) int32 array.  Isolated nodes never enter the core (min
+    core degree >= 2).
     """
-    deg = np.empty(n, np.int64)
-    for u in range(n):
-        deg[u] = indptr[u + 1] - indptr[u]
-    alive = np.ones(n, np.bool_)
-    queue = np.empty(2 * n + 8, np.int32)
-    qh = 0
-    qt = 0
-    for u in range(n):
-        if deg[u] == 1:
-            queue[qt] = u
-            qt += 1
-    pairs = np.empty((n // 2 + 1, 2), np.int32)
-    n_pairs = 0
-    while qh < qt:
-        t = queue[qh]
-        qh += 1
+    bounds = indptr[: n + 1].tolist()
+    flat = indices.tolist()
+    deg = np.diff(indptr[: n + 1]).tolist()
+    alive = [True] * n
+    queue = [u for u in range(n) if deg[u] == 1]
+    pairs = []
+    for t in queue:  # grows while scanned: a FIFO queue
         if not alive[t] or deg[t] != 1:
             continue
         s = -1
-        for i in range(indptr[t], indptr[t + 1]):
-            x = indices[i]
+        for x in flat[bounds[t]:bounds[t + 1]]:
             if alive[x]:
                 s = x
                 break
         if s == -1:
             continue
-        pairs[n_pairs, 0] = t
-        pairs[n_pairs, 1] = s
-        n_pairs += 1
+        pairs.append((t, s))
         alive[t] = False
         alive[s] = False
-        for i in range(indptr[s], indptr[s + 1]):
-            x = indices[i]
+        for x in flat[bounds[s]:bounds[s + 1]]:
             if alive[x]:
                 deg[x] -= 1
                 if deg[x] == 1:
-                    queue[qt] = x
-                    qt += 1
-    core = np.zeros(n, np.bool_)
-    for u in range(n):
-        if alive[u] and deg[u] >= 2:
-            core[u] = True
-    return core, pairs, n_pairs
+                    queue.append(x)
+    core = np.array(alive, np.bool_) & (np.array(deg, np.int64) >= 2)
+    return core, np.array(pairs, np.int32).reshape(-1, 2)
 
 
-@njit(cache=True)
 def propagate_freezing(indptr, indices, state, partner):
     """Fixpoint of the two freezing rules, in place.
 
     Rule (a): every neighbor of an uncovered backbone becomes covered.
     Rule (b): the double-edge partner of a covered backbone becomes uncovered.
     Seeds are whatever nodes are already frozen.  Returns the id of a node
-    driven to both states if the rules conflict, else -1.
+    driven to both states if the rules conflict, else -1; either way `state`
+    holds every freeze made up to that point.
     """
-    n = state.size
-    queue = np.empty(2 * n + 8, np.int32)
-    qh = 0
-    qt = 0
-    for u in range(n):
-        if state[u] != UNFROZEN:
-            queue[qt] = u
-            qt += 1
-    while qh < qt:
-        u = queue[qh]
-        qh += 1
-        if state[u] == POSITIVE:
-            for i in range(indptr[u], indptr[u + 1]):
-                x = indices[i]
-                if state[x] == POSITIVE:
-                    return x
-                if state[x] == UNFROZEN:
-                    state[x] = NEGATIVE
-                    queue[qt] = x
-                    qt += 1
+    bounds = indptr.tolist()
+    flat = indices.tolist()
+    st = state.tolist()
+    mate = partner.tolist()
+    queue = [u for u, s in enumerate(st) if s != UNFROZEN]
+    conflict = -1
+    for u in queue:  # grows while scanned: a FIFO queue
+        if st[u] == POSITIVE:
+            for x in flat[bounds[u]:bounds[u + 1]]:
+                sx = st[x]
+                if sx == POSITIVE:
+                    conflict = x
+                    break
+                if sx == UNFROZEN:
+                    st[x] = NEGATIVE
+                    queue.append(x)
+            if conflict >= 0:
+                break
         else:
-            p = partner[u]
+            p = mate[u]
             if p >= 0:
-                if state[p] == NEGATIVE:
-                    return p
-                if state[p] == UNFROZEN:
-                    state[p] = POSITIVE
-                    queue[qt] = p
-                    qt += 1
-    return -1
+                sp = st[p]
+                if sp == NEGATIVE:
+                    conflict = p
+                    break
+                if sp == UNFROZEN:
+                    st[p] = POSITIVE
+                    queue.append(p)
+    state[:] = st
+    return conflict

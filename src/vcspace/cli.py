@@ -12,7 +12,7 @@ import sys
 from typing import Optional, Sequence
 
 from .core_analysis import brute_force_min_covers, count_solutions
-from .experiments import RunConfig, run_sweep
+from .experiments import RunConfig, format_count, run_sweep
 from .graph import (BipartitePartition, EnsembleParams, Graph, OddCycle,
                     check_bipartition, generate_random_bipartite, ratio_sizes,
                     read_graph, write_graph)
@@ -75,8 +75,8 @@ def _cmd_entropy(args) -> int:
     g, partition = read_graph(args.graph)
     rsg = _rsg_for(g, partition)
     counts = count_solutions(rsg)
-    print(f"S_n={counts.solution_count} h_s={format(counts.entropy, '.12g')}")
-    print(f"S_c={counts.core_count} h_c={format(counts.core_entropy, '.12g')}")
+    print(f"S_n={format_count(counts.solution_count)} h_s={format(counts.entropy, '.12g')}")
+    print(f"S_c={format_count(counts.core_count)} h_c={format(counts.core_entropy, '.12g')}")
     return 0
 
 

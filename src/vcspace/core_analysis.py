@@ -114,48 +114,56 @@ def _log2_big(value: int) -> float:
 
 def _unfrozen_pairs_and_singles(rsg: ReducedSolutionGraph):
     """(partner dict, set of single edges) restricted to unfrozen nodes."""
+    lower = _unfrozen_pair_ends(rsg)
+    upper = rsg.partner[lower]
     partner = {}
-    for u, v in rsg.double_edges:
-        if rsg.state[u] == UNFROZEN:
-            partner[u] = v
-            partner[v] = u
-    singles = set()
-    for u, v in rsg.host.edges:
-        u, v = int(u), int(v)
-        if rsg.partner[u] != v and rsg.state[u] == UNFROZEN and rsg.state[v] == UNFROZEN:
-            singles.add((u, v))
-    return partner, singles
+    for u, v in zip(lower.tolist(), upper.tolist()):
+        partner[u] = v
+        partner[v] = u
+    su, sv = _unfrozen_singles(rsg)
+    return partner, set(zip(su.tolist(), sv.tolist()))
+
+
+def _unfrozen_pair_ends(rsg: ReducedSolutionGraph) -> np.ndarray:
+    """Lower ends of the unfrozen double edges, in increasing order."""
+    partner = rsg.partner
+    return np.flatnonzero((partner > np.arange(len(partner))) & (rsg.state == UNFROZEN))
+
+
+def _unfrozen_singles(rsg: ReducedSolutionGraph):
+    """Ends of the single edges between unfrozen nodes, in host edge order."""
+    unfrozen = rsg.state == UNFROZEN
+    edges = rsg.host.edges
+    u, v = edges[:, 0], edges[:, 1]
+    keep = (rsg.partner[u] != v) & unfrozen[u] & unfrozen[v]
+    return u[keep], v[keep]
 
 
 def unfrozen_core(rsg: ReducedSolutionGraph) -> UnfrozenCore:
     """Leaf-removal on the pair graph of the unfrozen part."""
-    unfrozen = rsg.state == UNFROZEN
-    pair_nodes = [(u, v) for u, v in rsg.double_edges if unfrozen[u]]
-    n_pairs = len(pair_nodes)
+    lower = _unfrozen_pair_ends(rsg)
+    upper = rsg.partner[lower]
+    n_pairs = len(lower)
     if n_pairs == 0:
         return UnfrozenCore([], [])
     pid = np.full(rsg.host.node_count, -1, dtype=np.int64)
-    for i, (u, v) in enumerate(pair_nodes):
-        pid[u] = i
-        pid[v] = i
-    edges = rsg.host.edges
-    u, v = edges[:, 0], edges[:, 1]
-    is_single = rsg.partner[u] != v
-    both_unfrozen = unfrozen[u] & unfrozen[v]
-    su = u[is_single & both_unfrozen]
-    sv = v[is_single & both_unfrozen]
+    pid[lower] = np.arange(n_pairs)
+    pid[upper] = np.arange(n_pairs)
+    su, sv = _unfrozen_singles(rsg)
     pu, pv = pid[su], pid[sv]
     lo = np.minimum(pu, pv)
     hi = np.maximum(pu, pv)
     keys = np.unique(lo * n_pairs + hi)
     pair_edges = np.stack([keys // n_pairs, keys % n_pairs], axis=1)
     indptr, indices = build_csr(n_pairs, pair_edges)
-    alive, _, _ = leaf_removal_peel(indptr, indices, n_pairs)
-    core_pairs = [pair_nodes[i] for i in np.flatnonzero(alive)]
-    core_nodes = {x for p in core_pairs for x in p}
-    core_singles = [(int(a), int(b)) for a, b in zip(su, sv)
-                    if int(a) in core_nodes and int(b) in core_nodes]
-    return UnfrozenCore(core_pairs, core_singles)
+    alive, _ = leaf_removal_peel(indptr, indices, n_pairs)
+    core_lower, core_upper = lower[alive], upper[alive]
+    in_core = np.zeros(rsg.host.node_count, dtype=bool)
+    in_core[core_lower] = True
+    in_core[core_upper] = True
+    keep = in_core[su] & in_core[sv]
+    return UnfrozenCore(list(zip(core_lower.tolist(), core_upper.tolist())),
+                        list(zip(su[keep].tolist(), sv[keep].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +373,10 @@ def _simplify_pair_system(partner: dict, singles_set: set[tuple[int, int]]):
 
 
 def cycle_simplification(rsg: ReducedSolutionGraph) -> SimplifiedRSG:
-    """Merge alternating double/single cycles until none remain.
+    """Merge alternating double/single cycles among unfrozen nodes.
+
+    Cycles through frozen (backbone) double edges are left in place: frozen
+    values are fixed, so they do not change the count.
 
     The solution count is invariant: same-parity nodes of an alternating
     cycle take a common value in every consistent assignment, so collapsing

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import statistics
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -259,6 +260,20 @@ def run_sweep(config: RunConfig,
 # CSV serialization: floats at 12 significant digits, counts as decimal strings
 
 
+def format_count(value: int) -> str:
+    """Decimal digits of an integer of any size.
+
+    str() refuses ints above 4300 digits (sys.get_int_max_str_digits), which
+    exact counts pass at n ~ 10^5; the decimal module converts with no cap.
+    """
+    return format(decimal.Decimal(value), "f")
+
+
+def parse_count(text: str) -> int:
+    """Inverse of format_count, with no digit cap either."""
+    return int(decimal.Decimal(text))
+
+
 def _fmt(value, spec=".12g") -> str:
     if value is None:
         return ""
@@ -266,7 +281,7 @@ def _fmt(value, spec=".12g") -> str:
         return str(int(value))
     if isinstance(value, float):
         return format(value, spec)
-    return str(value)
+    return format_count(value)
 
 
 ROW_COLUMNS = [f.name for f in fields(InstanceRow)]
@@ -320,8 +335,8 @@ def read_rows_csv(path) -> list[InstanceRow]:
             unfrozen_core=float(vals["unfrozen_core"]),
             h_s=float(vals["h_s"]) if vals["h_s"] else None,
             h_c=float(vals["h_c"]) if vals["h_c"] else None,
-            s_n=int(vals["s_n"]) if vals["s_n"] else None,
-            s_c=int(vals["s_c"]) if vals["s_c"] else None,
+            s_n=parse_count(vals["s_n"]) if vals["s_n"] else None,
+            s_c=parse_count(vals["s_c"]) if vals["s_c"] else None,
             big_ratio=vals["big_ratio"] == "1",
         ))
     return rows

@@ -249,9 +249,9 @@ def leaf_removal(g: Graph) -> PeelResult:
     The residual core is order-independent as a set and has minimum degree 2
     in its induced subgraph; the removed pairs form a matching.
     """
-    core_mask, pairs, n_pairs = leaf_removal_peel(g.indptr, g.indices, g.node_count)
+    core_mask, pairs = leaf_removal_peel(g.indptr, g.indices, g.node_count)
     return PeelResult(core_nodes=np.flatnonzero(core_mask).astype(np.int32),
-                      leaf_matchings=np.array(pairs[:n_pairs], dtype=np.int32))
+                      leaf_matchings=pairs)
 
 
 def giant_component_fraction(g: Graph) -> float:

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import build_csr, has_augmenting_path, hopcroft_karp
+from ._kernels import build_csr, hopcroft_karp
 from .graph import BipartitePartition, Graph
 
 
@@ -70,57 +70,34 @@ def max_bipartite_matching(g: Graph, part: BipartitePartition) -> Matching:
     indptr, indices = build_csr(n1 + n2, local_edges)
     # restrict to the left->right direction; right-local ids start at n1
     match_l, match_r, _ = hopcroft_karp(indptr[: n1 + 1], indices - n1, n1, n2)
-    for i in range(n1):
-        if match_l[i] >= 0:
-            u = int(left[i])
-            v = int(right[match_l[i]])
-            partner[u] = v
-            partner[v] = u
+    matched = match_l >= 0
+    u = left[matched]
+    v = right[match_l[matched]]
+    partner[u] = v
+    partner[v] = u
     return Matching(partner)
 
 
 def verify_matching(g: Graph, m: Matching) -> bool:
     """True iff m is a valid matching of g (disjoint pairs, edges exist)."""
-    p = m.partner
-    if len(p) != g.node_count:
+    p = np.asarray(m.partner)
+    n = g.node_count
+    if len(p) != n:
         return False
-    for u, v in enumerate(p):
-        if v < 0:
-            continue
-        if v >= g.node_count or p[v] != u or u == v:
-            return False
-        if u < v and not g.has_edge(int(u), int(v)):
-            return False
-    return True
-
-
-def matching_is_maximum_bipartite(g: Graph, part: BipartitePartition, m: Matching) -> bool:
-    """Second-pass check: no augmenting path exists from any unmatched node."""
-    if not verify_matching(g, m):
+    u = np.flatnonzero(p >= 0)
+    v = p[u].astype(np.int64)
+    if (v >= n).any():
         return False
-    left = part.side1_nodes()
-    right = part.side2_nodes()
-    n1, n2 = len(left), len(right)
+    if (p[v] != u).any() or (u == v).any():
+        return False
+    lower = u < v
     if g.edge_count == 0:
-        return m.size == 0
-    local = np.empty(g.node_count, dtype=np.int64)
-    local[left] = np.arange(n1)
-    local[right] = np.arange(n2)
-    side = part.side_of
-    u_glob = g.edges[:, 0].astype(np.int64)
-    v_glob = g.edges[:, 1].astype(np.int64)
-    swap = side[u_glob] == 1
-    u_glob[swap], v_glob[swap] = v_glob[swap], u_glob[swap].copy()
-    local_edges = np.stack([local[u_glob], n1 + local[v_glob]], axis=1)
-    indptr, indices = build_csr(n1 + n2, local_edges)
-    match_l = np.full(n1, -1, np.int32)
-    match_r = np.full(n2, -1, np.int32)
-    for u, v in m.pairs:
-        lu, lv = (u, v) if side[u] == 0 else (v, u)
-        match_l[local[lu]] = local[lv]
-        match_r[local[lv]] = local[lu]
-    return not has_augmenting_path(indptr[: n1 + 1], indices - n1, n1, n2,
-                                   match_l, match_r)
+        return not lower.any()
+    # g.edges is sorted lexicographically, so its keys u*n + v are sorted too
+    keys = g.edges[:, 0].astype(np.int64) * n + g.edges[:, 1]
+    wanted = u[lower] * n + v[lower]
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return bool((keys[pos] == wanted).all())
 
 
 def heuristic_max_matching(g: Graph) -> Matching:

@@ -76,7 +76,8 @@ class ReducedSolutionGraph:
 
     @property
     def double_edges(self) -> list[tuple[int, int]]:
-        return [(int(u), int(v)) for u, v in enumerate(self.partner) if 0 <= u < v]
+        lower = np.flatnonzero(self.partner > np.arange(len(self.partner)))
+        return list(zip(lower.tolist(), self.partner[lower].tolist()))
 
     @property
     def min_cover_size(self) -> int:

@@ -1,7 +1,8 @@
 """Independent oracles and corpus builders shared by the test modules.
 
 Everything here avoids the code paths under test: matching sizes come from a
-memoized branch-and-bound, covers from vcspace's exhaustive searcher (itself
+memoized branch-and-bound, maximality from a plain breadth-first search for
+augmenting paths, covers from vcspace's exhaustive searcher (itself
 oracle-grade: plain subset search over edges), and corpora are fixed by seed
 arithmetic so every run sees identical instances.
 """
@@ -121,3 +122,51 @@ def has_alternating_cycle(rsg: v.ReducedSolutionGraph) -> bool:
             if indegree[w] == 0:
                 ready.append(w)
     return sorted_count < len(partner)
+
+
+def verify_matching_loop(g: v.Graph, m: v.Matching) -> bool:
+    """Node-by-node reference for vcspace.verify_matching."""
+    p = m.partner
+    if len(p) != g.node_count:
+        return False
+    for u, w in enumerate(p):
+        if w < 0:
+            continue
+        if w >= g.node_count or p[w] != u or u == w:
+            return False
+        if u < w and not g.has_edge(int(u), int(w)):
+            return False
+    return True
+
+
+def has_augmenting_path(g: v.Graph, part: v.BipartitePartition, m: v.Matching) -> bool:
+    """Does an alternating path join a free X1 node to a free X2 node?
+
+    Breadth-first search from every free X1 node: an X1 node reaches its
+    X2 neighbours over unmatched edges, and a matched X2 node continues to
+    its partner in X1.  Reaching a free X2 node is an augmenting path.
+    """
+    partner = m.partner.tolist()
+    adjacency = {u: [] for u in range(g.node_count)}
+    for a, b in g.edges.tolist():
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    seen = {u for u in range(g.node_count)
+            if part.side_of[u] == 0 and partner[u] < 0}
+    queue = deque(seen)
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            x = partner[w]
+            if x < 0:
+                return True
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+    return False
+
+
+def matching_is_maximum_bipartite(g: v.Graph, part: v.BipartitePartition,
+                                  m: v.Matching) -> bool:
+    """A valid matching with no augmenting path is maximum (Berge)."""
+    return verify_matching_loop(g, m) and not has_augmenting_path(g, part, m)

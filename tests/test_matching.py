@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import vcspace as v
-from vcspace.matching import InvalidPartitionError, matching_is_maximum_bipartite
+from vcspace.matching import InvalidPartitionError
 
-from oracles import BASE_SEED, brute_force_max_matching, small_bipartite_corpus
+from oracles import (BASE_SEED, brute_force_max_matching,
+                     matching_is_maximum_bipartite, small_bipartite_corpus,
+                     verify_matching_loop)
 
 
 def path_graph(n):
@@ -83,6 +85,54 @@ class TestVerifyMatching:
         g = path_graph(4)
         partner = np.array([2, -1, 0, -1], dtype=np.int32)  # (0,2) not an edge
         assert not v.verify_matching(g, v.Matching(partner))
+
+    def test_agrees_with_loop_reference_on_corrupted_partners(self):
+        # vectorised check against the node-by-node loop, on valid matchings
+        # and on swapped pairs, self-partners, non-involutions, non-edges and
+        # out-of-range partners
+        rng = np.random.default_rng(BASE_SEED)
+        verdicts = []
+        for seed in range(40):
+            g, part = v.generate_random_bipartite(
+                v.EnsembleParams(12, 9, 0.8 + 0.1 * seed, BASE_SEED + seed))
+            good = v.max_bipartite_matching(g, part).partner
+            n = g.node_count
+            matched = np.flatnonzero(good >= 0)
+            free = np.flatnonzero(good < 0)
+            variants = [good.copy()]
+            if len(matched) >= 4:
+                p = good.copy()  # re-pair (a, b), (c, d) as (a, d), (c, b)
+                a, c = rng.choice(matched[matched < 12], size=2, replace=False)
+                b, d = p[a], p[c]
+                p[a], p[d], p[c], p[b] = d, a, b, c
+                variants.append(p)
+            p = good.copy()  # self-partner
+            p[rng.integers(n)] = rng.integers(n)
+            variants.append(p)
+            if len(matched) and len(free):
+                p = good.copy()  # a free node claims a matched node's partner
+                p[rng.choice(free)] = good[rng.choice(matched)]
+                variants.append(p)
+            if len(matched):
+                p = good.copy()  # non-involution: one end points elsewhere
+                u = rng.choice(matched)
+                p[u] = (p[u] + 1) % n
+                variants.append(p)
+            if len(free) >= 2:
+                p = good.copy()  # pair two free nodes, edge or not
+                a, b = rng.choice(free, size=2, replace=False)
+                p[a], p[b] = b, a
+                variants.append(p)
+            p = good.copy()
+            p[rng.integers(n)] = n + 3  # out of range
+            variants.append(p)
+            variants.append(np.full(n - 1, -1, dtype=np.int32))  # wrong length
+            for p in variants:
+                m = v.Matching(p.astype(np.int32))
+                expected = verify_matching_loop(g, m)
+                assert v.verify_matching(g, m) == expected, f"seed={seed} partner={p}"
+                verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
 
 
 def test_heuristic_matching_on_general_graphs():
