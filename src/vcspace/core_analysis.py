@@ -4,7 +4,9 @@ The unfrozen part of a reduced solution graph decomposes into double-edge
 pairs (every unfrozen node sits in exactly one double edge).  Each pair is a
 binary variable (which end is covered) and every single edge between
 unfrozen nodes is an at-least-one-covered clause between two pairs.  Counting
-minimum covers is exact counting over that clause system.
+minimum covers is exact counting over that clause system.  Cycle
+simplification is SCC contraction of the implication digraph among unfrozen
+nodes: each strongly connected class takes one value in every solution.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ._kernels import UNFROZEN, build_csr, leaf_removal_peel
 from .graph import Graph
@@ -112,16 +116,9 @@ def _log2_big(value: int) -> float:
 # pair-system extraction
 
 
-def _unfrozen_pairs_and_singles(rsg: ReducedSolutionGraph):
-    """(partner dict, set of single edges) restricted to unfrozen nodes."""
-    lower = _unfrozen_pair_ends(rsg)
-    upper = rsg.partner[lower]
-    partner = {}
-    for u, v in zip(lower.tolist(), upper.tolist()):
-        partner[u] = v
-        partner[v] = u
-    su, sv = _unfrozen_singles(rsg)
-    return partner, set(zip(su.tolist(), sv.tolist()))
+def _system_partner(rsg: ReducedSolutionGraph) -> np.ndarray:
+    """rsg.partner on unfrozen nodes, -1 on frozen ones."""
+    return np.where(rsg.state == UNFROZEN, rsg.partner, -1)
 
 
 def _unfrozen_pair_ends(rsg: ReducedSolutionGraph) -> np.ndarray:
@@ -167,261 +164,83 @@ def unfrozen_core(rsg: ReducedSolutionGraph) -> UnfrozenCore:
 
 
 # ---------------------------------------------------------------------------
-# cycle simplification engine (alternating double/single cycles)
+# cycle simplification: SCC contraction of the implication digraph
 
 
-def _build_forest(partner: dict, singles: dict):
-    """BFS forest over the pair structure with every double edge in the tree.
+def _contract_pair_system(partner: np.ndarray, su: np.ndarray, sv: np.ndarray):
+    """Contract the strongly connected classes of a pair system's implications.
 
-    Visitation is pair-atomic (a node and its partner enter together), so each
-    double edge is a tree edge.  Returns (parent, depth, tree_singles).
+    partner[x] is the double-edge mate of x, or -1 for a node outside the
+    system; (su[i], sv[i]) are the single edges.  A single (x, y) says x and y
+    are not both uncovered, so "x uncovered" implies "partner(y) uncovered":
+    arcs x -> partner(y) and y -> partner(x).  The nodes of one strongly
+    connected class share a value in every solution, and partner maps each
+    class onto its mirror class.
+
+    Returns (rep, a, b): rep[x] is the smallest id in x's class (x itself
+    outside the system), and (a[i], b[i]) with a < b are the distinct singles
+    between representatives.  Singles between a class and its mirror are
+    implied by the contracted double edge and dropped.
     """
-    parent: dict[int, Optional[tuple[int, str]]] = {}
-    depth: dict[int, int] = {}
-    tree_singles: set[tuple[int, int]] = set()
-    for root in sorted(partner):
-        if root in parent:
-            continue
-        parent[root] = None
-        depth[root] = 0
-        pr = partner[root]
-        parent[pr] = (root, "D")
-        depth[pr] = 1
-        queue = deque((root, pr))
-        while queue:
-            x = queue.popleft()
-            for y in sorted(singles.get(x, ())):
-                if y in parent:
-                    continue
-                parent[y] = (x, "S")
-                depth[y] = depth[x] + 1
-                tree_singles.add((min(x, y), max(x, y)))
-                py = partner[y]
-                parent[py] = (y, "D")
-                depth[py] = depth[y] + 1
-                queue.append(y)
-                queue.append(py)
-    return parent, depth, tree_singles
-
-
-def _tree_cycle(parent, depth, a, b) -> list[tuple[int, int, str]]:
-    """Edges of the fundamental cycle of non-tree single (a, b), in cyclic order."""
-    ea: list[tuple[int, int, str]] = []
-    eb: list[tuple[int, int, str]] = []
-    x, y = a, b
-    while depth[x] > depth[y]:
-        px, kind = parent[x]
-        ea.append((x, px, kind))
-        x = px
-    while depth[y] > depth[x]:
-        py, kind = parent[y]
-        eb.append((y, py, kind))
-        y = py
-    while x != y:
-        px, kx = parent[x]
-        ea.append((x, px, kx))
-        x = px
-        py, ky = parent[y]
-        eb.append((y, py, ky))
-        y = py
-    return [(b, a, "S")] + ea + [(q, p, k) for p, q, k in reversed(eb)]
-
-
-def _cycle_nodes_if_alternating(cycle_edges) -> Optional[list[int]]:
-    kinds = [k for _, _, k in cycle_edges]
-    if len(kinds) % 2 == 1:
-        return None
-    if any(kinds[i] == kinds[(i + 1) % len(kinds)] for i in range(len(kinds))):
-        return None
-    return [p for _, p, _ in cycle_edges]
-
-
-def _find_alternating_cycle(partner: dict, singles: dict) -> Optional[list[int]]:
-    """Node cycle of some alternating double/single cycle, or None.
-
-    Primary search: fundamental cycles of non-tree single edges with respect
-    to a spanning forest containing all double edges, lowest-indexed edge
-    first.  Backstop: directed search over pair traversals, which can expose
-    alternating cycles whose fundamental decomposition is blocked.
-    """
-    parent, depth, tree_singles = _build_forest(partner, singles)
-    all_singles = sorted({(min(x, y), max(x, y))
-                          for x, nbrs in singles.items() for y in nbrs})
-    for a, b in all_singles:
-        if (a, b) in tree_singles:
-            continue
-        nodes = _cycle_nodes_if_alternating(_tree_cycle(parent, depth, a, b))
-        if nodes is not None:
-            return nodes
-    return _backstop_alternating_cycle(partner, singles)
-
-
-def _backstop_alternating_cycle(partner: dict, singles: dict) -> Optional[list[int]]:
-    """DFS over 'arrived via double edge' states; a directed cycle with
-    pairwise-distinct pairs is an alternating cycle."""
-    color: dict[int, int] = {}  # 1 on stack, 2 done
-    order: dict[int, int] = {}
-    path: list[int] = []
-
-    def arcs(u: int):
-        for w in sorted(singles.get(u, ())):
-            yield partner[w]
-
-    for start in sorted(partner):
-        if color.get(start):
-            continue
-        stack = [(start, arcs(start))]
-        color[start] = 1
-        order[start] = len(path)
-        path.append(start)
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for t in it:
-                if color.get(t) == 1:
-                    seg = path[order[t]:]
-                    pair_keys = {min(s, partner[s]) for s in seg}
-                    if len(pair_keys) == len(seg):
-                        nodes: list[int] = []
-                        for i, s in enumerate(seg):
-                            nodes.append(s)
-                            nxt = seg[(i + 1) % len(seg)]
-                            nodes.append(partner[nxt])
-                        return nodes
-                elif color.get(t) is None:
-                    color[t] = 1
-                    order[t] = len(path)
-                    path.append(t)
-                    stack.append((t, arcs(t)))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = 2
-                path.pop()
-                stack.pop()
-    return None
-
-
-def _merge_cycle(cycle: list[int], partner: dict, singles: dict,
-                 uf: dict[int, int]) -> None:
-    """Collapse an alternating cycle into one super-pair, rewiring singles.
-
-    Same-parity cycle nodes share a value in every solution, so each parity
-    class becomes one node.  Singles parallel to the new double are implied by
-    it and dropped; a single inside one class would freeze the class and
-    cannot occur in a consistent RSG.
-    """
-    class_a = cycle[0::2]
-    class_b = cycle[1::2]
-    rep_a, rep_b = min(class_a), min(class_b)
-    member_of = {x: rep_a for x in class_a}
-    member_of.update({x: rep_b for x in class_b})
-    ext: dict[int, set[int]] = {rep_a: set(), rep_b: set()}
-    for x in cycle:
-        rep = member_of[x]
-        for t in singles.pop(x, set()):
-            if t in member_of:
-                if member_of[t] == rep:
-                    raise CorruptedRsgError(
-                        f"single edge inside one value class at node {x}")
-                continue  # cycle edge or chord across classes: implied by the double
-            singles[t].discard(x)
-            ext[rep].add(t)
-        del partner[x]
-    partner[rep_a] = rep_b
-    partner[rep_b] = rep_a
-    singles[rep_a] = set()
-    singles[rep_b] = set()
-    for rep in (rep_a, rep_b):
-        for t in ext[rep]:
-            singles[rep].add(t)
-            singles[t].add(rep)
-    for x in class_a:
-        _union_to(uf, x, rep_a)
-    for x in class_b:
-        _union_to(uf, x, rep_b)
-
-
-def _find(uf: dict[int, int], x: int) -> int:
-    root = x
-    while uf.get(root, root) != root:
-        root = uf[root]
-    while uf.get(x, x) != x:
-        uf[x], x = root, uf[x]
-    return root
-
-
-def _union_to(uf: dict[int, int], x: int, rep: int) -> None:
-    uf[_find(uf, x)] = _find(uf, rep)
-
-
-def _simplify_pair_system(partner: dict, singles_set: set[tuple[int, int]]):
-    """Run alternating-cycle merges to fixpoint.
-
-    Returns (partner, singles adjacency, union-find map over original ids).
-    """
-    singles: dict[int, set[int]] = {x: set() for x in partner}
-    for a, b in singles_set:
-        singles[a].add(b)
-        singles[b].add(a)
-    uf: dict[int, int] = {}
-    while True:
-        cycle = _find_alternating_cycle(partner, singles)
-        if cycle is None:
-            return partner, singles, uf
-        _merge_cycle(cycle, partner, singles, uf)
+    n = len(partner)
+    src = np.concatenate([su, sv])
+    dst = partner[np.concatenate([sv, su])]
+    digraph = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+    _, labels = connected_components(digraph, directed=True, connection="strong")
+    _, first = np.unique(labels, return_index=True)
+    rep = first[labels]
+    inside = np.flatnonzero(partner >= 0)
+    clash = inside[rep[partner[inside]] == rep[inside]]
+    if len(clash):
+        raise CorruptedRsgError(f"node {clash[0]} shares a value class with its partner")
+    ra, rb = rep[su], rep[sv]
+    clash = np.flatnonzero(ra == rb)
+    if len(clash):
+        raise CorruptedRsgError(
+            f"single edge inside one value class at node {su[clash[0]]}")
+    keep = rep[partner[ra]] != rb
+    keys = np.unique(np.minimum(ra, rb)[keep] * n + np.maximum(ra, rb)[keep])
+    return rep, keys // n, keys % n
 
 
 def cycle_simplification(rsg: ReducedSolutionGraph) -> SimplifiedRSG:
-    """Merge alternating double/single cycles among unfrozen nodes.
+    """SCC contraction of the implication digraph among unfrozen nodes.
 
-    Cycles through frozen (backbone) double edges are left in place: frozen
-    values are fixed, so they do not change the count.
+    Each strongly connected class (see `_contract_pair_system`) becomes one
+    super-node named by its smallest id, and its double edge joins it to its
+    mirror class.  This merges every alternating double/single cycle among
+    unfrozen nodes.  Cycles through frozen (backbone) double edges are left in
+    place: frozen values are fixed, so they do not change the count.
 
-    The solution count is invariant: same-parity nodes of an alternating
-    cycle take a common value in every consistent assignment, so collapsing
-    each parity class to a super-node is a bijection on solutions.
+    The solution count is invariant: the nodes of one class take a common
+    value in every consistent assignment, so collapsing each class to a
+    super-node is a bijection on solutions.
     """
-    partner, singles_set = _unfrozen_pairs_and_singles(rsg)
-    partner = dict(partner)
-    partner_after, _, uf = _simplify_pair_system(partner, singles_set)
-
     n = rsg.host.node_count
-    frozen = [u for u in range(n) if rsg.state[u] != UNFROZEN]
-    reps = sorted(set(partner_after))
-    kept = sorted(set(frozen) | set(reps))
-    new_id = {old: i for i, old in enumerate(kept)}
+    rep, _, _ = _contract_pair_system(_system_partner(rsg), *_unfrozen_singles(rsg))
+    kept = np.flatnonzero(rep == np.arange(n))  # frozen nodes and representatives
+    k = len(kept)
+    new_id = np.full(n, -1, dtype=np.int64)
+    new_id[kept] = np.arange(k)
+    image = new_id[rep]
 
-    def image(u: int) -> int:
-        return u if rsg.state[u] != UNFROZEN else _find(uf, u)
-
-    partner_new = np.full(len(kept), -1, dtype=np.int32)
-    for u in range(n):
-        p = int(rsg.partner[u])
-        if p >= 0 and rsg.state[u] != UNFROZEN:
-            partner_new[new_id[u]] = new_id[p]
-    for a, b in partner_after.items():
-        partner_new[new_id[a]] = new_id[b]
+    partnered = np.flatnonzero(rsg.partner >= 0)
+    partner_new = np.full(k, -1, dtype=np.int32)
+    partner_new[image[partnered]] = image[rsg.partner[partnered]]
 
     # singles mapped onto a double edge dedupe away: the double implies them
-    mapped_edges = set()
-    for u, v in rsg.host.edges:
-        mu, mv = new_id[image(int(u))], new_id[image(int(v))]
-        if mu == mv:
-            raise CorruptedRsgError(f"edge ({u}, {v}) collapsed to a self-edge")
-        mapped_edges.add((min(mu, mv), max(mu, mv)))
-    host_new = Graph(len(kept), sorted(mapped_edges))
-    state_new = np.zeros(len(kept), dtype=np.int8)
-    for old in kept:
-        state_new[new_id[old]] = rsg.state[old]
-    out = ReducedSolutionGraph(host_new, state_new, partner_new)
+    eu, ev = image[rsg.host.edges[:, 0]], image[rsg.host.edges[:, 1]]
+    clash = np.flatnonzero(eu == ev)
+    if len(clash):
+        u, v = rsg.host.edges[clash[0]]
+        raise CorruptedRsgError(f"edge ({u}, {v}) collapsed to a self-edge")
+    keys = np.unique(np.minimum(eu, ev) * k + np.maximum(eu, ev))
+    host_new = Graph(k, np.stack([keys // k, keys % k], axis=1))
+    out = ReducedSolutionGraph(host_new, rsg.state[kept], partner_new)
 
-    merge_map: dict[int, tuple[int, int]] = {}
-    for u in range(n):
-        img = new_id[image(u)]
-        mate = int(partner_new[img])
-        parity = 0 if mate < 0 or img < mate else 1
-        merge_map[u] = (img, parity)
+    mate = partner_new[image]
+    parity = (mate >= 0) & (image > mate)
+    merge_map = dict(enumerate(zip(image.tolist(), parity.astype(int).tolist())))
     return SimplifiedRSG(out, merge_map)
 
 
@@ -436,31 +255,28 @@ def expand_assignment(covered_simplified: frozenset[int],
 # counting
 
 
-def _count_pair_system(partner: dict, singles_set: set[tuple[int, int]]) -> int:
-    """Exact number of pair orientations satisfying all single-edge clauses."""
-    if not partner:
-        return 1
-    partner, singles, _ = _simplify_pair_system(dict(partner), singles_set)
-    pairs = sorted((u, v) for u, v in partner.items() if u < v)
-    pid = {}
-    for i, (u, v) in enumerate(pairs):
-        pid[u] = (i, 0)
-        pid[v] = (i, 1)
-    adj: dict[int, dict[int, list[tuple[int, int]]]] = {
-        i: {} for i in range(len(pairs))}
-    seen = set()
-    for x, nbrs in singles.items():
-        for y in nbrs:
-            key = (min(x, y), max(x, y))
-            if key in seen:
-                continue
-            seen.add(key)
-            (p, sp), (q, sq) = pid[x], pid[y]
-            adj[p].setdefault(q, []).append((sp, sq))
-            adj[q].setdefault(p, []).append((sq, sp))
-    weights = {i: (1, 1) for i in range(len(pairs))}
-    budget = [RESIDUAL_WORK_BUDGET]
-    return _count_system(adj, weights, budget)
+def _count_pair_system(partner: np.ndarray, su: np.ndarray, sv: np.ndarray) -> int:
+    """Exact number of pair orientations satisfying all single-edge clauses.
+
+    The arguments describe a pair system as in `_contract_pair_system`.
+    """
+    rep, a, b = _contract_pair_system(partner, su, sv)
+    nodes = np.flatnonzero(partner >= 0)
+    reps = nodes[rep[nodes] == nodes]
+    mates = rep[partner[reps]]
+    lower, upper = reps[reps < mates], mates[reps < mates]
+    n_pairs = len(lower)
+    pid = np.zeros(len(partner), dtype=np.int64)
+    pid[lower] = pid[upper] = np.arange(n_pairs)
+    side = np.zeros(len(partner), dtype=np.int64)
+    side[upper] = 1
+    adj: dict[int, dict[int, list[tuple[int, int]]]] = {i: {} for i in range(n_pairs)}
+    for p, sp, q, sq in zip(pid[a].tolist(), side[a].tolist(),
+                            pid[b].tolist(), side[b].tolist()):
+        adj[p].setdefault(q, []).append((sp, sq))
+        adj[q].setdefault(p, []).append((sq, sp))
+    weights = {i: (1, 1) for i in range(n_pairs)}
+    return _count_system(adj, weights, [RESIDUAL_WORK_BUDGET])
 
 
 def _count_system(adj: dict[int, dict[int, list[tuple[int, int]]]],
@@ -621,27 +437,26 @@ def _count_small_component(comp, comp_adj, weights, budget: list[int]) -> int:
 def count_solutions(rsg: ReducedSolutionGraph) -> CountResult:
     """Exact number of minimum vertex covers encoded by the RSG.
 
-    Pipeline: cycle-simplify the unfrozen pair system, peel leaf pairs with a
-    weighted dynamic program, and brute-force any small residual component
-    (error above RESIDUAL_VARIABLE_CAP pair variables).
+    Pipeline: SCC-contract the implication digraph among unfrozen nodes, peel
+    leaf pairs with a weighted dynamic program, and branch on the stuck
+    remainder: components up to RESIDUAL_VARIABLE_CAP pair variables directly,
+    larger ones on a pivot pair and recursively.  Raises CountIntractableError
+    once RESIDUAL_WORK_BUDGET branch nodes are spent.
     """
-    n = rsg.host.node_count
-    partner, singles = _unfrozen_pairs_and_singles(rsg)
-    s_n = _count_pair_system(partner, singles)
-    core = unfrozen_core(rsg)
-    s_c = _count_core(core)
-    return CountResult(s_n, s_c, n)
+    s_n = _count_pair_system(_system_partner(rsg), *_unfrozen_singles(rsg))
+    s_c = _count_core(unfrozen_core(rsg))
+    return CountResult(s_n, s_c, rsg.host.node_count)
 
 
 def _count_core(core: UnfrozenCore) -> int:
     if core.is_empty:
         return 1
-    partner = {}
-    for u, v in core.pairs:
-        partner[u] = v
-        partner[v] = u
-    singles = {(min(a, b), max(a, b)) for a, b in core.single_edges}
-    return _count_pair_system(partner, singles)
+    pairs = np.array(core.pairs, dtype=np.int64)
+    singles = np.array(core.single_edges, dtype=np.int64).reshape(-1, 2)
+    partner = np.full(int(core.nodes[-1]) + 1, -1, dtype=np.int64)
+    partner[pairs[:, 0]] = pairs[:, 1]
+    partner[pairs[:, 1]] = pairs[:, 0]
+    return _count_pair_system(partner, singles[:, 0], singles[:, 1])
 
 
 def count_core_solutions(rsg: ReducedSolutionGraph, core: UnfrozenCore,

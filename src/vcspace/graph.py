@@ -304,8 +304,10 @@ def check_bipartition(g: Graph) -> Union[BipartitePartition, OddCycle]:
             continue
         side[root] = 0
         queue = [root]
-        while queue:
-            u = queue.pop(0)
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
             for v in g.neighbors(u):
                 v = int(v)
                 if side[v] == -1:

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import build_csr, hopcroft_karp
+from ._kernels import hopcroft_karp
 from .graph import BipartitePartition, Graph
 
 
@@ -61,15 +61,15 @@ def max_bipartite_matching(g: Graph, part: BipartitePartition) -> Matching:
     local = np.empty(g.node_count, dtype=np.int64)
     local[left] = np.arange(n1)
     local[right] = np.arange(n2)
-    side = part.side_of
-    u_glob = g.edges[:, 0].astype(np.int64)
-    v_glob = g.edges[:, 1].astype(np.int64)
-    swap = side[u_glob] == 1
-    u_glob[swap], v_glob[swap] = v_glob[swap], u_glob[swap].copy()
-    local_edges = np.stack([local[u_glob], n1 + local[v_glob]], axis=1)
-    indptr, indices = build_csr(n1 + n2, local_edges)
-    # restrict to the left->right direction; right-local ids start at n1
-    match_l, match_r, _ = hopcroft_karp(indptr[: n1 + 1], indices - n1, n1, n2)
+    a, b = g.edges[:, 0], g.edges[:, 1]
+    swap = part.side_of[a] == 1
+    lo = local[np.where(swap, b, a)]
+    ro = local[np.where(swap, a, b)]
+    # left->right CSR with each row sorted by right id
+    order = np.lexsort((ro, lo))
+    indptr = np.zeros(n1 + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo, minlength=n1), out=indptr[1:])
+    match_l, _, _ = hopcroft_karp(indptr, ro[order], n1, n2)
     matched = match_l >= 0
     u = left[matched]
     v = right[match_l[matched]]

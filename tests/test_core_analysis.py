@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import vcspace as v
-from vcspace.core_analysis import BruteForceLimitError
+from vcspace.core_analysis import (BruteForceLimitError, CorruptedRsgError,
+                                   _contract_pair_system, _system_partner,
+                                   _unfrozen_singles)
 
 from oracles import has_alternating_cycle, small_bipartite_corpus
 
@@ -161,45 +163,40 @@ class TestCycleSimplification:
         assert v.count_solutions(rsg).solution_count == len(covers) == 4
 
 
-class TestAlternatingCycleSearch:
-    def test_primary_finds_hexagon(self):
-        from vcspace.core_analysis import _find_alternating_cycle
+class TestSccContraction:
+    def test_hexagon_collapses_to_one_super_pair(self):
+        partner = np.array([1, 0, 3, 2, 5, 4])
+        su, sv = np.array([0, 1, 3]), np.array([5, 2, 4])
+        rep, a, b = _contract_pair_system(partner, su, sv)
+        assert rep.tolist() == [0, 1, 0, 1, 0, 1]
+        # every single joins the class {0, 2, 4} to its mirror {1, 3, 5}
+        assert len(a) == len(b) == 0
 
-        partner = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
-        singles = {0: {5}, 1: {2}, 2: {1}, 3: {4}, 4: {3}, 5: {0}}
-        cycle = _find_alternating_cycle(partner, singles)
-        assert cycle is not None and len(cycle) == 6
-
-    def test_backstop_finds_hexagon(self):
-        # the directed-traversal backstop must stand on its own: it catches
-        # alternating cycles whose fundamental decomposition is blocked
-        from vcspace.core_analysis import _backstop_alternating_cycle
-
-        partner = {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4}
-        singles = {0: {5}, 1: {2}, 2: {1}, 3: {4}, 4: {3}, 5: {0}}
-        cycle = _backstop_alternating_cycle(partner, singles)
-        assert cycle is not None and len(cycle) == 6
-        # verify alternation around the returned node order
-        for i, a in enumerate(cycle):
-            b = cycle[(i + 1) % len(cycle)]
-            is_double = partner[a] == b
-            was_double = partner[cycle[i - 1]] == a
-            assert is_double != was_double
-
-    def test_backstop_none_on_hub_triangle(self):
-        # the archived stuck structure has no alternating cycle at all
+    def test_hub_triangle_stays_identity(self):
         g, _ = v.read_graph(
             Path(__file__).parent / "fixtures" / "pair_core_stuck_hub_triangle.txt")
         rsg = v.build_rsg_bipartite(g, v.check_bipartition(g))
-        from vcspace.core_analysis import (_backstop_alternating_cycle,
-                                           _unfrozen_pairs_and_singles)
-        partner, singles_set = _unfrozen_pairs_and_singles(rsg)
-        singles = {x: set() for x in partner}
-        for a, b in singles_set:
-            singles[a].add(b)
-            singles[b].add(a)
-        assert _backstop_alternating_cycle(partner, singles) is None
+        su, sv = _unfrozen_singles(rsg)
+        rep, a, b = _contract_pair_system(_system_partner(rsg), su, sv)
+        assert rep.tolist() == list(range(g.node_count))
+        assert sorted(zip(a.tolist(), b.tolist())) == \
+            sorted(zip(su.tolist(), sv.tolist()))
 
+    def test_node_sharing_class_with_partner_is_corrupt(self):
+        # K4 with doubles (0, 1) and (2, 3): all four nodes fall into one class
+        g = v.Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        with pytest.raises(CorruptedRsgError, match="partner"):
+            v.cycle_simplification(rsg_with(g, [(0, 1), (2, 3)]))
+
+    def test_single_inside_one_class_is_corrupt(self):
+        # the alternating square 0-1-2-3 makes {0, 2} one class; chord (0, 2)
+        # lies inside it
+        g = v.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+        with pytest.raises(CorruptedRsgError, match="inside one value class"):
+            v.cycle_simplification(rsg_with(g, [(0, 1), (2, 3)]))
+
+
+class TestAlternatingCycleSearch:
     def test_topological_sort_oracle(self):
         # the oracle agrees with the known cases, and on the corpus it sees a
         # cycle exactly when simplification changes the RSG

@@ -134,6 +134,17 @@ class TestSweep:
         assert digest_without_timestamp(tmp_path / "agg.csv") == \
             "6051e74dceb8798eb845ee00524e4e7ee8566d552d2fe2497841574a1be9d0ee"
 
+    def test_golden_csv_digests_full_entropy(self, tmp_path):
+        # 9 of these 24 instances contract nontrivial classes among unfrozen
+        # nodes, so the digests pin s_n, s_c and h_s through real cycle
+        # simplification, not only the identity case.
+        config = v.RunConfig(300, 300, (3.25, 4.0, 7.0), 8, base_seed=0, entropy="full")
+        v.run_sweep(config, tmp_path / "rows.csv", tmp_path / "agg.csv")
+        assert digest_without_timestamp(tmp_path / "rows.csv") == \
+            "e7d5deeaa1f4d834166d3454aa67e87387d293ced68e62a15c263244d9d98119"
+        assert digest_without_timestamp(tmp_path / "agg.csv") == \
+            "b37f48863bdd08bc311db7effe0331b0c930805188ae09072b465aa0e95d6da1"
+
     def test_counts_beyond_int_str_digit_limit_round_trip(self, tmp_path):
         # 3**20000 has 9543 digits, above the 4300-digit cap of str(int)
         config = small_config(instances=1, c_values=(1.0,))
