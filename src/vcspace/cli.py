@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entropy", choices=["full", "core", "none"], default="full",
                    help="counting per instance: full counts, core counts only, or none")
     p.add_argument("--out", required=True, help="output path prefix")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("ke", help="grow a Konig-Egervary subgraph")

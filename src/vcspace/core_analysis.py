@@ -38,8 +38,7 @@ class CorruptedRsgError(ValueError):
     """Cycle simplification found structure a consistent RSG cannot contain."""
 
 
-RESIDUAL_VARIABLE_CAP = 25  # stuck components up to this size count by direct branching
-RESIDUAL_WORK_BUDGET = 500_000  # branch-node budget for decomposing larger tangles
+RESIDUAL_WORK_BUDGET = 500_000  # branch nodes one count may spend on stuck components
 
 
 @dataclass
@@ -284,12 +283,11 @@ def _count_system(adj: dict[int, dict[int, list[tuple[int, int]]]],
     """Peel-order DP with branch-and-decompose for the stuck remainder.
 
     Leaf pairs (at most one neighbouring pair) are absorbed into their
-    neighbour as unary weights.  Whatever remains has pair-degree >= 2; small
-    stuck components count by direct branching, larger ones branch on a
-    high-degree pair, unit-propagate, and recurse on the pieces (assignments
-    re-expose leaves, so each level peels further).
+    neighbour as unary weights.  Whatever remains has pair-degree >= 2; each
+    stuck component branches on a high-degree pair, unit-propagates, and
+    recurses on the rest (assignments re-expose leaves, so each level peels
+    further and splits into components again).  Consumes adj and weights.
     """
-    adj = {p: dict(nb) for p, nb in adj.items()}
     total = 1
     queue = deque(p for p in adj if len(adj[p]) <= 1)
     removed: set[int] = set()
@@ -344,14 +342,14 @@ def _components(vars_: list[int], adj) -> list[list[int]]:
     return comps
 
 
-def _propagate_assignment(comp_adj, weights, start: int, val: int):
+def _propagate_assignment(adj, weights, start: int, val: int):
     """Assign start=val and unit-propagate.  Returns (factor, assigned) or None."""
     assign = {start: val}
     factor = weights[start][val]
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        for y, cls in comp_adj[x].items():
+        for y, cls in adj[x].items():
             for sx, sy in cls:
                 if assign[x] == sx:
                     continue
@@ -366,82 +364,40 @@ def _propagate_assignment(comp_adj, weights, start: int, val: int):
 
 
 def _count_stuck_component(comp: list[int], adj, weights, budget: list[int]) -> int:
+    """Branch on the highest-degree pair; each value propagates and re-peels.
+
+    After the peel in `_count_system`, every neighbour of a residual pair is
+    residual and in the same component, so adj is read without filtering.
+    Each call spends one unit of the shared branch-node budget.
+    """
     budget[0] -= 1
     if budget[0] < 0:
         raise CountIntractableError(
             f"count intractable: branching budget exhausted on a stuck "
             f"component of {len(comp)} pair variables")
-    comp_set = set(comp)
-    comp_adj = {p: {q: cls for q, cls in adj[p].items() if q in comp_set}
-                for p in comp}
-    if len(comp) <= RESIDUAL_VARIABLE_CAP:
-        return _count_small_component(comp, comp_adj, weights, budget)
-    # branch on the highest-degree pair; each value propagates and re-peels
-    pivot = max(comp, key=lambda p: (len(comp_adj[p]), -p))
+    pivot = max(comp, key=lambda p: (len(adj[p]), -p))
     subtotal = 0
     for val in (0, 1):
-        outcome = _propagate_assignment(comp_adj, weights, pivot, val)
+        outcome = _propagate_assignment(adj, weights, pivot, val)
         if outcome is None:
             continue
         factor, assign = outcome
-        rest_adj: dict[int, dict[int, list[tuple[int, int]]]] = {}
-        for p in comp:
-            if p in assign:
-                continue
-            rest_adj[p] = {}
-            for q, cls in comp_adj[p].items():
-                if q in assign:
-                    continue  # surviving propagation means these clauses hold
-                rest_adj[p][q] = cls
+        # surviving propagation means the clauses into assigned pairs hold
+        rest_adj = {p: {q: cls for q, cls in adj[p].items() if q not in assign}
+                    for p in comp if p not in assign}
         rest_weights = {p: weights[p] for p in rest_adj}
         subtotal += factor * _count_system(rest_adj, rest_weights, budget)
     return subtotal
-
-
-def _count_small_component(comp, comp_adj, weights, budget: list[int]) -> int:
-    """Direct branching with unit propagation, for stuck components <= cap."""
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise CountIntractableError("count intractable: branching budget exhausted")
-
-    def rec(adj_now, w_now, vars_now) -> int:
-        # all stuck-component vars keep >= 1 pending clause until assigned
-        best, best_deg = -1, -1
-        for p in vars_now:
-            deg = len(adj_now[p])
-            if deg > best_deg:
-                best, best_deg = p, deg
-        if best < 0:
-            return 1
-        if best_deg == 0:
-            out = 1
-            for p in vars_now:
-                out *= w_now[p][0] + w_now[p][1]
-            return out
-        subtotal = 0
-        for val in (0, 1):
-            outcome = _propagate_assignment(adj_now, w_now, best, val)
-            if outcome is None:
-                continue
-            factor, assign = outcome
-            rest_vars = [p for p in vars_now if p not in assign]
-            rest_adj = {p: {q: cls for q, cls in adj_now[p].items()
-                            if q not in assign}
-                        for p in rest_vars}
-            subtotal += factor * rec(rest_adj, w_now, rest_vars)
-        return subtotal
-
-    return rec(comp_adj, weights, comp)
 
 
 def count_solutions(rsg: ReducedSolutionGraph) -> CountResult:
     """Exact number of minimum vertex covers encoded by the RSG.
 
     Pipeline: SCC-contract the implication digraph among unfrozen nodes, peel
-    leaf pairs with a weighted dynamic program, and branch on the stuck
-    remainder: components up to RESIDUAL_VARIABLE_CAP pair variables directly,
-    larger ones on a pivot pair and recursively.  Raises CountIntractableError
-    once RESIDUAL_WORK_BUDGET branch nodes are spent.
+    leaf pairs with a weighted dynamic program, and branch each stuck
+    component on a pivot pair, re-peeling after every assignment.  Raises
+    CountIntractableError, naming the component size, once
+    RESIDUAL_WORK_BUDGET branch nodes are spent.
     """
     s_n = _count_pair_system(_system_partner(rsg), *_unfrozen_singles(rsg))
     s_c = _count_core(unfrozen_core(rsg))

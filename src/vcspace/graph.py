@@ -233,14 +233,21 @@ def generate_random_bipartite(params: EnsembleParams) -> tuple[Graph, BipartiteP
     return g, BipartitePartition(side)
 
 
+_ROW_BLOCK = 128  # rows of uniforms drawn at once by generate_random_graph
+
+
 def generate_random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) on dense ids; used for general-graph experiments."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    mask = rng.random((n, n)) < p
-    u, v = np.nonzero(np.triu(mask, k=1))
-    return Graph(n, np.stack([u, v], axis=1))
+    # row blocks continue one stream, so the edges equal those of one n x n draw
+    blocks = []
+    for start in range(0, n, _ROW_BLOCK):
+        mask = rng.random((min(_ROW_BLOCK, n - start), n)) < p
+        u, v = np.nonzero(np.triu(mask, k=start + 1))
+        blocks.append(np.stack([u + start, v], axis=1))
+    return Graph(n, np.concatenate(blocks) if blocks else [])
 
 
 def leaf_removal(g: Graph) -> PeelResult:

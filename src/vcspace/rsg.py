@@ -151,6 +151,7 @@ def _hypothesis_conflicts(rsg: ReducedSolutionGraph, node: int, covered: bool) -
     # overlay: node -> True (covered) / False (uncovered)
     overlay: dict[int, bool] = {node: covered}
     queue = [node]
+    head = 0
     state = rsg.state
     partner = rsg.partner
 
@@ -164,8 +165,9 @@ def _hypothesis_conflicts(rsg: ReducedSolutionGraph, node: int, covered: bool) -
             return True
         return None
 
-    while queue:
-        x = queue.pop(0)
+    while head < len(queue):
+        x = queue[head]
+        head += 1
         if overlay[x]:
             p = int(partner[x])
             if p >= 0:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vcspace as v
+from vcspace import core_analysis
 from vcspace.core_analysis import (BruteForceLimitError, CorruptedRsgError,
                                    _contract_pair_system, _system_partner,
                                    _unfrozen_singles)
@@ -29,6 +30,20 @@ def rsg_with(g, doubles, positives=()):
 def alternating_hexagon():
     g = cycle_graph(6)
     return rsg_with(g, [(0, 1), (2, 3), (4, 5)])
+
+
+def pair_ring(k):
+    """k unfrozen pairs (a_i, b_i) = (2i, 2i + 1) with singles (a_i, a_{i+1 mod k})."""
+    doubles = [(2 * i, 2 * i + 1) for i in range(k)]
+    singles = [(2 * i, 2 * ((i + 1) % k)) for i in range(k)]
+    return rsg_with(v.Graph(2 * k, doubles + singles), doubles)
+
+
+def lucas(k):
+    a, b = 2, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
 
 
 class TestBruteForce:
@@ -261,6 +276,21 @@ class TestCounting:
         res = v.count_solutions(rsg)
         assert res.solution_count == 2 ** 60
         assert res.entropy == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("k", [10, 30])
+    def test_pair_ring_counts_lucas_number(self, k):
+        # no two neighbouring a_i uncovered: the cyclic binary strings without
+        # two adjacent zeros, L_k of them; k = 30 is one stuck component
+        rsg = pair_ring(k)
+        assert len(v.unfrozen_core(rsg).pairs) == k
+        res = v.count_solutions(rsg)
+        assert res.solution_count == res.core_count == lucas(k)
+
+    def test_exhausted_budget_names_component_size(self, monkeypatch):
+        monkeypatch.setattr(core_analysis, "RESIDUAL_WORK_BUDGET", 0)
+        with pytest.raises(v.CountIntractableError,
+                           match="stuck component of 30 pair variables"):
+            v.count_solutions(pair_ring(30))
 
     def test_core_at_most_total(self):
         for params, g, part in small_bipartite_corpus(150):

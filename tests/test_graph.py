@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vcspace as v
+from vcspace.graph import _ROW_BLOCK
 
 
 def path_graph(n):
@@ -90,6 +91,16 @@ class TestGenerator:
         realized_c1 = g.edge_count / 800
         realized_c2 = g.edge_count / 200
         assert realized_c1 / realized_c2 == pytest.approx(200 / 800)
+
+
+class TestRandomGraph:
+    def test_equals_dense_draw(self):
+        # n is not a multiple of the row block, so the last block is partial
+        n, p, seed = 2 * _ROW_BLOCK + 7, 0.05, 11
+        rng = np.random.default_rng(seed)
+        u, w = np.nonzero(np.triu(rng.random((n, n)) < p, 1))
+        g = v.generate_random_graph(n, p, seed)
+        assert np.array_equal(g.edges, v.Graph(n, np.stack([u, w], axis=1)).edges)
 
 
 class TestLeafRemoval:
