@@ -1,9 +1,10 @@
-"""Plain-Python kernels over lists for the hot loops (matching, peeling, propagation).
+"""Plain-Python kernels over lists for the hot loops (matching, peeling, unit propagation).
 
-Each kernel takes CSR adjacency as numpy arrays, converts its arguments once
-with `.tolist()`, runs on Python lists and ints, and hands back numpy arrays.
-Python ints and list indexing are several times cheaper to loop over than
-numpy scalars and array indexing.
+The matching and peeling kernels take CSR adjacency as numpy arrays, convert
+it once with `.tolist()`, run on Python lists and ints, and hand back numpy
+arrays.  Unit propagation runs once per probe, so it takes the lists
+themselves and its caller converts once.  Python ints and list indexing are
+several times cheaper to loop over than numpy scalars and array indexing.
 """
 
 from __future__ import annotations
@@ -141,42 +142,34 @@ def leaf_removal_peel(indptr, indices, n):
     return core, np.array(pairs, np.int32).reshape(-1, 2)
 
 
-def propagate_freezing(indptr, indices, state, partner):
-    """Fixpoint of the two freezing rules, in place.
+def unit_propagate(bounds, flat, mate, st, seeds):
+    """Unit propagation of the two freezing rules from `seeds`, in place on `st`.
 
-    Rule (a): every neighbor of an uncovered backbone becomes covered.
-    Rule (b): the double-edge partner of a covered backbone becomes uncovered.
-    Seeds are whatever nodes are already frozen.  Returns the id of a node
-    driven to both states if the rules conflict, else -1; either way `state`
-    holds every freeze made up to that point.
+    Rule (a): every neighbor of an uncovered node becomes covered.
+    Rule (b): the double-edge partner of a covered node becomes uncovered.
+    Nodes are visited first in, first out, seeds first.  Returns (conflict,
+    frozen): conflict is a node driven to both states, else -1, and frozen
+    lists the nodes this call froze, so a caller can undo a trial by
+    resetting them to UNFROZEN.
     """
-    bounds = indptr.tolist()
-    flat = indices.tolist()
-    st = state.tolist()
-    mate = partner.tolist()
-    queue = [u for u, s in enumerate(st) if s != UNFROZEN]
-    conflict = -1
+    queue = list(seeds)
+    start = len(queue)
     for u in queue:  # grows while scanned: a FIFO queue
         if st[u] == POSITIVE:
             for x in flat[bounds[u]:bounds[u + 1]]:
                 sx = st[x]
                 if sx == POSITIVE:
-                    conflict = x
-                    break
+                    return x, queue[start:]
                 if sx == UNFROZEN:
                     st[x] = NEGATIVE
                     queue.append(x)
-            if conflict >= 0:
-                break
         else:
             p = mate[u]
             if p >= 0:
                 sp = st[p]
                 if sp == NEGATIVE:
-                    conflict = p
-                    break
+                    return p, queue[start:]
                 if sp == UNFROZEN:
                     st[p] = POSITIVE
                     queue.append(p)
-    state[:] = st
-    return conflict
+    return -1, queue[start:]

@@ -278,25 +278,6 @@ def giant_component_fraction(g: Graph) -> float:
     return float(counts.max()) / g.node_count
 
 
-def connected_component_nodes(g: Graph) -> list[np.ndarray]:
-    """Connected components as arrays of node ids, largest-first then by min id."""
-    if g.node_count == 0:
-        return []
-    m = csr_matrix(
-        (np.ones(len(g.indices), dtype=np.int8),
-         g.indices.astype(np.int64),
-         g.indptr),
-        shape=(g.node_count, g.node_count),
-    )
-    _, labels = connected_components(m, directed=False)
-    comps: dict[int, list[int]] = {}
-    for node, lab in enumerate(labels):
-        comps.setdefault(int(lab), []).append(node)
-    out = [np.array(sorted(v), dtype=np.int32) for v in comps.values()]
-    out.sort(key=lambda a: (-len(a), int(a[0])))
-    return out
-
-
 def check_bipartition(g: Graph) -> Union[BipartitePartition, OddCycle]:
     """Two-color each component, or return an odd-cycle witness.
 

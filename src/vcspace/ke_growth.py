@@ -133,7 +133,7 @@ def grow_step(state: KEGrowthState, edge: Edge) -> KEGrowthState:
     new_rsg = ReducedSolutionGraph(rsg.host.with_edge(u, v),
                                    rsg.state.copy(), rsg.partner.copy())
     before = int((new_rsg.state != UNFROZEN).sum())
-    new_rsg = odd_cycle_breaking(freezing_influence(new_rsg))
+    new_rsg = odd_cycle_breaking(new_rsg)
     frozen_now = int((new_rsg.state != UNFROZEN).sum()) - before
     return KEGrowthState(state.host, new_rsg, state.accepted | {edge},
                          state.discarded, pending, freezes + frozen_now)

@@ -37,12 +37,6 @@ class Matching:
                 out.append((int(u), int(v)))
         return out
 
-    def is_matched(self, u: int) -> bool:
-        return self.partner[u] >= 0
-
-    def unmatched_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.partner < 0)
-
 
 def max_bipartite_matching(g: Graph, part: BipartitePartition) -> Matching:
     """Maximum-cardinality matching via layered augmenting-path phases.

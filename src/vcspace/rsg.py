@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import NEGATIVE, POSITIVE, UNFROZEN, propagate_freezing
+from ._kernels import NEGATIVE, POSITIVE, UNFROZEN, unit_propagate
 from .graph import (BipartitePartition, Graph, GraphFormatError, OddCycle,
                     check_bipartition, leaf_removal)
 from .matching import Matching, max_bipartite_matching, verify_matching
@@ -103,19 +103,27 @@ def state_ratios(rsg: ReducedSolutionGraph) -> tuple[float, float, float]:
     return plus / n, minus / n, zero / n
 
 
+def _freeze(rsg: ReducedSolutionGraph):
+    """A frozen copy of rsg, plus its (bounds, flat, mate, st) kernel lists."""
+    out = rsg.copy()
+    st = out.state.tolist()
+    lists = (out.host.indptr.tolist(), out.host.indices.tolist(), out.partner.tolist(), st)
+    conflict, _ = unit_propagate(*lists, [u for u, s in enumerate(st) if s != UNFROZEN])
+    if conflict >= 0:
+        raise PropagationConflictError(conflict)
+    out.state[:] = st
+    return out, lists
+
+
 def freezing_influence(rsg: ReducedSolutionGraph) -> ReducedSolutionGraph:
-    """Propagate the two freezing rules to fixpoint.
+    """Unit-propagate the two freezing rules from every frozen node.
 
     (a) every neighbor of an uncovered backbone becomes a covered backbone;
     (b) the double partner of a covered backbone becomes an uncovered
-    backbone.  States only ever move unfrozen -> frozen.
+    backbone.  States only ever move unfrozen -> frozen.  The same kernel
+    runs the trial probes of `odd_cycle_breaking`.
     """
-    out = rsg.copy()
-    conflict = propagate_freezing(out.host.indptr, out.host.indices,
-                                  out.state, out.partner)
-    if conflict >= 0:
-        raise PropagationConflictError(conflict)
-    return out
+    return _freeze(rsg)[0]
 
 
 def build_rsg_bipartite(g: Graph, part: BipartitePartition,
@@ -132,91 +140,48 @@ def build_rsg_bipartite(g: Graph, part: BipartitePartition,
         raise ValueError("matching is not a valid matching of g")
     state = np.zeros(g.node_count, dtype=np.int8)
     state[matching.partner < 0] = POSITIVE
-    rsg = ReducedSolutionGraph(g, state, matching.partner.astype(np.int32).copy())
-    conflict = propagate_freezing(rsg.host.indptr, rsg.host.indices,
-                                  rsg.state, rsg.partner)
-    if conflict >= 0:
-        # impossible when the matching is maximum on bipartite input
-        raise PropagationConflictError(
-            conflict, f"unexpected conflict at node {conflict} on bipartite input")
-    return rsg
-
-
-def _hypothesis_conflicts(rsg: ReducedSolutionGraph, node: int, covered: bool) -> bool:
-    """Unit-propagate a trial value for one node; True iff it contradicts.
-
-    Trial values live in an overlay, the real states are never touched.
-    uncovered => all neighbors covered; covered => double partner uncovered.
-    """
-    # overlay: node -> True (covered) / False (uncovered)
-    overlay: dict[int, bool] = {node: covered}
-    queue = [node]
-    head = 0
-    state = rsg.state
-    partner = rsg.partner
-
-    def value_of(x: int) -> Optional[bool]:
-        if x in overlay:
-            return overlay[x]
-        s = state[x]
-        if s == POSITIVE:
-            return False
-        if s == NEGATIVE:
-            return True
-        return None
-
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        if overlay[x]:
-            p = int(partner[x])
-            if p >= 0:
-                val = value_of(p)
-                if val is True:
-                    return True
-                if val is None:
-                    overlay[p] = False
-                    queue.append(p)
-        else:
-            for nb in rsg.host.neighbors(x):
-                nb = int(nb)
-                val = value_of(nb)
-                if val is False:
-                    return True
-                if val is None:
-                    overlay[nb] = True
-                    queue.append(nb)
-    return False
+    return freezing_influence(
+        ReducedSolutionGraph(g, state, matching.partner.astype(np.int32)))
 
 
 def odd_cycle_breaking(rsg: ReducedSolutionGraph) -> ReducedSolutionGraph:
-    """Failed-hypothesis propagation to fixpoint.
+    """Freeze every backbone left by odd cycles: one pass of failed-literal probes.
 
-    For every unfrozen node, trial-freeze it each way and unit-propagate; a
-    contradiction freezes the node to the opposite value (followed by a full
-    freezing-influence pass).  Repeats until a whole sweep fires no freeze.
-    Bipartite RSGs are left unchanged.
+    The input is frozen first.  The RSG's constraints are a 2-CNF (each edge
+    has a covered end, each double edge an uncovered one), so a value is a
+    backbone exactly when unit propagation from the opposite value
+    contradicts.  Each unfrozen node is probed both ways on the frozen
+    state, and when one value fails the node takes the other.  Values
+    implied by a probe that does not fail cannot fail and are not probed.
+    Whatever a backbone implies is a backbone found by its own probe, so no
+    propagation follows the pass.  An RSG from `build_rsg_bipartite` is left
+    unchanged.
     """
-    out = rsg.copy()
-    changed = True
-    while changed:
-        changed = False
-        for u in range(out.host.node_count):
-            if out.state[u] != UNFROZEN:
+    out, (bounds, flat, mate, st) = _freeze(rsg)
+    implied = [0] * len(st)  # bit flags of values implied by non-failed probes
+    for u in range(len(st)):
+        if st[u] != UNFROZEN:
+            continue
+        failed = 0
+        for value in (POSITIVE, NEGATIVE):
+            if implied[u] & value:
                 continue
-            bad_uncovered = _hypothesis_conflicts(out, u, covered=False)
-            bad_covered = _hypothesis_conflicts(out, u, covered=True)
-            if bad_uncovered and bad_covered:
-                raise PropagationConflictError(
-                    u, f"node {u} contradicts under both hypotheses; "
-                       f"input is not a Konig-consistent structure")
-            if bad_uncovered or bad_covered:
-                out.state[u] = NEGATIVE if bad_uncovered else POSITIVE
-                conflict = propagate_freezing(out.host.indptr, out.host.indices,
-                                              out.state, out.partner)
-                if conflict >= 0:
-                    raise PropagationConflictError(conflict)
-                changed = True
+            st[u] = value
+            conflict, frozen = unit_propagate(bounds, flat, mate, st, [u])
+            if conflict >= 0:
+                failed |= value
+            else:
+                for x in frozen:
+                    implied[x] |= st[x]
+            st[u] = UNFROZEN
+            for x in frozen:
+                st[x] = UNFROZEN
+        if failed == POSITIVE | NEGATIVE:
+            raise PropagationConflictError(
+                u, f"node {u} contradicts under both hypotheses; "
+                   f"input is not a Konig-consistent structure")
+        if failed:
+            out.state[u] = NEGATIVE if failed == POSITIVE else POSITIVE
     return out
 
 
@@ -224,8 +189,9 @@ def build_rsg_bipartite_core(g: Graph) -> ReducedSolutionGraph:
     """Solution-space expression for graphs whose leaf-removal core is bipartite.
 
     Doubles are the leaf matchings plus a maximum matching of the bipartite
-    core; after seeding and freezing influence, odd-cycle breaking and
-    freezing influence alternate to fixpoint.
+    core, and unmatched nodes are seeded uncovered.  `odd_cycle_breaking`
+    then freezes the seed and, in one pass of failed-literal probes, every
+    backbone the odd cycles of g leave.
     """
     peel = leaf_removal(g)
     partner = np.full(g.node_count, -1, dtype=np.int32)
@@ -245,12 +211,7 @@ def build_rsg_bipartite_core(g: Graph) -> ReducedSolutionGraph:
             partner[v] = u
     state = np.zeros(g.node_count, dtype=np.int8)
     state[partner < 0] = POSITIVE
-    rsg = ReducedSolutionGraph(g, state, partner)
-    conflict = propagate_freezing(rsg.host.indptr, rsg.host.indices,
-                                  rsg.state, rsg.partner)
-    if conflict >= 0:
-        raise PropagationConflictError(conflict)
-    return odd_cycle_breaking(rsg)
+    return odd_cycle_breaking(ReducedSolutionGraph(g, state, partner))
 
 
 Assignment = frozenset  # set of covered node ids
@@ -259,24 +220,6 @@ Assignment = frozenset  # set of covered node ids
 def assignment_covers(g: Graph, covered: frozenset[int]) -> bool:
     """True iff every edge of g has at least one covered end."""
     return all(int(u) in covered or int(v) in covered for u, v in g.edges)
-
-
-def assignment_consistent(rsg: ReducedSolutionGraph, covered: frozenset[int]) -> bool:
-    """Backbones at frozen values, doubles exactly-one, singles at-least-one."""
-    for u in range(rsg.host.node_count):
-        s = rsg.state[u]
-        if s == POSITIVE and u in covered:
-            return False
-        if s == NEGATIVE and u not in covered:
-            return False
-    for u, v in rsg.host.edges:
-        u, v = int(u), int(v)
-        if rsg.partner[u] == v:
-            if (u in covered) == (v in covered):
-                return False
-        elif u not in covered and v not in covered:
-            return False
-    return True
 
 
 def consistent_assignments(rsg: ReducedSolutionGraph,

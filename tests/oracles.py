@@ -124,6 +124,60 @@ def has_alternating_cycle(rsg: v.ReducedSolutionGraph) -> bool:
     return sorted_count < len(partner)
 
 
+def _overlay_probe(rsg: v.ReducedSolutionGraph, node: int, covered: bool):
+    """Unit-propagate a trial value for one node through an overlay.
+
+    The real states are never touched.  Returns the overlay (node -> covered)
+    of every value the trial implies, or None if the trial contradicts.
+    uncovered => all neighbours covered; covered => double partner uncovered.
+    """
+    frozen = {int(v.NodeState.UNCOVERED_BACKBONE): False,
+              int(v.NodeState.COVERED_BACKBONE): True}
+    overlay = {node: covered}
+    queue = deque([node])
+    while queue:
+        x = queue.popleft()
+        if overlay[x]:
+            implied = [int(rsg.partner[x])] if rsg.partner[x] >= 0 else []
+        else:
+            implied = [int(w) for w in rsg.host.neighbors(x)]
+        for w in implied:
+            value = overlay.get(w, frozen.get(int(rsg.state[w])))
+            if value is overlay[x]:
+                return None
+            if value is None:
+                overlay[w] = not overlay[x]
+                queue.append(w)
+    return overlay
+
+
+def odd_cycle_breaking_sweep(rsg: v.ReducedSolutionGraph) -> v.ReducedSolutionGraph:
+    """Reference for vcspace.odd_cycle_breaking: overlay probes swept to fixpoint.
+
+    The input must already be frozen.  Every unfrozen node is probed both
+    ways; when one value contradicts, the node takes the other and the
+    surviving probe's implications are frozen at once.  Sweeps repeat until
+    one freezes nothing.
+    """
+    out = rsg.copy()
+    changed = True
+    while changed:
+        changed = False
+        for u in range(out.host.node_count):
+            if out.state[u] != int(v.NodeState.UNFROZEN):
+                continue
+            as_uncovered = _overlay_probe(out, u, covered=False)
+            as_covered = _overlay_probe(out, u, covered=True)
+            if as_uncovered is None and as_covered is None:
+                raise v.rsg.PropagationConflictError(u)
+            if as_uncovered is None or as_covered is None:
+                for x, covered in (as_uncovered or as_covered).items():
+                    out.state[x] = int(v.NodeState.COVERED_BACKBONE if covered
+                                       else v.NodeState.UNCOVERED_BACKBONE)
+                changed = True
+    return out
+
+
 def verify_matching_loop(g: v.Graph, m: v.Matching) -> bool:
     """Node-by-node reference for vcspace.verify_matching."""
     p = m.partner

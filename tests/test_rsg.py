@@ -5,7 +5,8 @@ import vcspace as v
 from vcspace.rsg import (EnumerationLimitError, PropagationConflictError,
                          validate_rsg)
 
-from oracles import exhaustive_state_classification, small_bipartite_corpus
+from oracles import (exhaustive_state_classification, odd_cycle_breaking_sweep,
+                     small_bipartite_corpus)
 
 U = v.NodeState.UNFROZEN
 P = v.NodeState.UNCOVERED_BACKBONE
@@ -173,6 +174,14 @@ class TestOddCycleBreaking:
             out = v.odd_cycle_breaking(rsg)
             assert np.array_equal(out.state, rsg.state), f"seed={params.seed}"
 
+    def test_k4_contradicts_both_ways(self):
+        # two doubles cover K4 with 2 nodes, but its minimum cover has 3:
+        # node 0 uncovered forces 1, 2, 3 covered; 0 covered forces 1
+        # uncovered, then 2 and 3 covered across their double
+        g = v.Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        with pytest.raises(PropagationConflictError):
+            v.odd_cycle_breaking(rsg_with(g, [(0, 1), (2, 3)]))
+
 
 class TestBuildBipartiteCore:
     def test_trees_match_oracle(self):
@@ -219,7 +228,25 @@ class TestBuildBipartiteCore:
             checked += 1
             _, covers = v.brute_force_min_covers(g)
             assert v.consistent_assignments(rsg) == covers, f"seed={77_000 + seed}"
+            want = exhaustive_state_classification(g)
+            assert states_of(rsg) == [want[u] for u in range(g.node_count)], \
+                f"seed={77_000 + seed}"
         assert checked > 50
+
+    def test_one_pass_equals_sweep_to_fixpoint(self):
+        checked = 0
+        for seed in range(12):
+            g = v.generate_random_graph(600, 2 / 600, seed)
+            try:
+                rsg = v.build_rsg_bipartite_core(g)
+            except v.NotBipartiteCoreError:
+                continue
+            checked += 1
+            state = np.where(rsg.partner < 0, int(P), int(U)).astype(np.int8)
+            seed_rsg = v.ReducedSolutionGraph(g, state, rsg.partner.copy())
+            want = odd_cycle_breaking_sweep(v.freezing_influence(seed_rsg))
+            assert np.array_equal(rsg.state, want.state), f"seed={seed}"
+        assert checked >= 4
 
 
 class TestRsgIO:
